@@ -24,9 +24,14 @@ This module removes the redundancy without weakening the search:
   float the simulation produced, so every accept/reject comparison in
   the descent is unchanged and cached vs uncached planners emit
   byte-identical plans.
-* :class:`LRUCache` — the bounded mapping both caches above and the
-  planner's front-door plan cache build on, with hit/miss/eviction
-  accounting that works even when the observability recorder is off.
+* :class:`~repro.util.LRUCache` (re-exported here) — the bounded
+  mapping the caches above, the compiled tables and the planner's
+  front-door plan cache build on, with hit/miss/eviction accounting
+  that works even when the observability recorder is off.
+
+Each miss is itself cheap: with the default objective the cache owns a
+:class:`~repro.runtime.compiled.CompiledTables` — a slice table and a
+co-run rate memo — and runs every probe without causality tracking.
 
 Cache-effectiveness counters flow through :mod:`repro.obs`
 (``objective_cache_hits`` / ``objective_cache_misses``; the planner
@@ -37,17 +42,23 @@ scheme and the invalidation rules.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import TYPE_CHECKING, Callable, Generic, Optional, Tuple, TypeVar
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from .. import obs
+from ..runtime.compiled import CompiledTables
 from ..runtime.schedule import async_makespan_ms
+from ..util import LRUCache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from .plan import PipelinePlan
 
-K = TypeVar("K")
-V = TypeVar("V")
+__all__ = [
+    "DEFAULT_OBJECTIVE_CACHE_SIZE",
+    "Fingerprint",
+    "LRUCache",
+    "ObjectiveCache",
+    "plan_fingerprint",
+]
 
 #: A plan configuration identity: hashable, equality == same simulation.
 Fingerprint = Tuple[object, ...]
@@ -57,55 +68,6 @@ Fingerprint = Tuple[object, ...]
 #: every probe of even large plans resident while bounding memory to a
 #: few MB of small tuples and floats.
 DEFAULT_OBJECTIVE_CACHE_SIZE = 16384
-
-
-class LRUCache(Generic[K, V]):
-    """A bounded least-recently-used mapping with hit/miss accounting.
-
-    The accounting is plain instance state (not ``repro.obs`` metrics)
-    so benchmarks and tests can read effectiveness with the recorder
-    off; callers that want the counters in the metrics registry add
-    them at their own call sites.
-    """
-
-    def __init__(self, maxsize: int = 1024) -> None:
-        if maxsize < 1:
-            raise ValueError(f"LRU maxsize must be >= 1, got {maxsize}")
-        self.maxsize = maxsize
-        self._data: "OrderedDict[K, V]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key: K) -> bool:
-        return key in self._data
-
-    def get(self, key: K) -> Optional[V]:
-        """The cached value, refreshed as most-recent; None on a miss."""
-        try:
-            value = self._data[key]
-        except KeyError:
-            self.misses += 1
-            return None
-        self._data.move_to_end(key)
-        self.hits += 1
-        return value
-
-    def put(self, key: K, value: V) -> None:
-        """Insert/refresh a value, evicting the oldest entry when full."""
-        if key in self._data:
-            self._data.move_to_end(key)
-        self._data[key] = value
-        if len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-            self.evictions += 1
-
-    def clear(self) -> None:
-        """Drop every entry (accounting is preserved)."""
-        self._data.clear()
 
 
 def plan_fingerprint(
@@ -149,6 +111,14 @@ class ObjectiveCache:
     planner/profiler pair: profiles are keyed by model name, so a cache
     must never outlive the profiler whose costs it memoized.
 
+    With the default objective, misses run on this cache's
+    :class:`~repro.runtime.compiled.CompiledTables` (built lazily,
+    LRU-bounded, emptied by :meth:`clear`), and like every objective
+    probe they skip causality tracking, which executed runs keep.  The
+    tables hold exactly the values a plain simulation recomputes, so
+    the memoized float is the one ``simulate_chains`` returns for the
+    same plan.
+
     Args:
         objective: The underlying plan-level objective.
         maxsize: LRU bound on memoized fingerprints.
@@ -161,6 +131,10 @@ class ObjectiveCache:
     ) -> None:
         self._objective = objective
         self._cache: LRUCache[Fingerprint, float] = LRUCache(maxsize)
+        # Only the default objective knows how to use compiled tables.
+        self.tables: Optional[CompiledTables] = (
+            CompiledTables() if objective is async_makespan_ms else None
+        )
 
     @property
     def hits(self) -> int:
@@ -194,10 +168,16 @@ class ObjectiveCache:
         # stealing/tail search that issues the probes.  Cache hits stay
         # span-free — they are dictionary lookups, not simulations.
         with obs.span("plan.objective", requests=plan.num_requests) as sp:
-            value = self._objective(plan, with_contention)
+            if self.tables is None:
+                value = self._objective(plan, with_contention)
+            else:
+                value = self._objective(plan, with_contention, self.tables)
             sp.set(makespan_ms=value)
         self._cache.put(key, value)
         return value
 
     def clear(self) -> None:
+        """Drop every memoized value and compiled table entry."""
         self._cache.clear()
+        if self.tables is not None:
+            self.tables.clear()

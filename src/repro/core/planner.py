@@ -27,9 +27,10 @@ from ..models.ir import ModelGraph
 from ..models.zoo import all_models
 from ..profiling.profiler import ModelProfile, SocProfiler
 from ..runtime.schedule import async_makespan_ms
+from ..util import LRUCache
 from .contention import ContentionEstimator, ContentionScore
 from .mitigation import MitigationResult, mitigate_sequence
-from .objective import LRUCache, ObjectiveCache
+from .objective import ObjectiveCache
 from .partition import PartitionResult, partition_model
 from .plan import PipelinePlan, StageAssignment
 from .stealing import optimize_tail, vertical_alignment

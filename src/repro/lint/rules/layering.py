@@ -77,6 +77,9 @@ MODULE_OVERRIDES: Dict[str, int] = {
     f"{ROOT_PACKAGE}.runtime.executor": 36,
     f"{ROOT_PACKAGE}.runtime._legacy_executor": 36,
     f"{ROOT_PACKAGE}.runtime.queueing": 65,
+    # The objective's compiled slice table and co-run rate memo build on
+    # the engine (36) and are owned by ``core.objective`` (38).
+    f"{ROOT_PACKAGE}.runtime.compiled": 37,
     # The objective-memoization leaf sits directly above the simulation
     # substrate it wraps (runtime.schedule, rank 36) and below the rest
     # of ``core``: it may import the cost oracle, never the planner.

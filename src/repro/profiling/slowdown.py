@@ -108,8 +108,17 @@ def slowdown_fraction(
         pressure += coupling * co.intensity()
     if pressure <= 0.0:
         return 0.0
-    exponent = pressure * victim.sensitivity()
-    return MAX_SLOWDOWN * (1.0 - math.exp(-exponent))
+    return saturated_slowdown(pressure, victim.sensitivity())
+
+
+def saturated_slowdown(pressure: float, sensitivity: float) -> float:
+    """The saturating response to a positive aggregate bus pressure.
+
+    The last step of :func:`slowdown_fraction`, shared with callers that
+    precompute intensities and sensitivities (the engine's memoized
+    co-run rates) so both produce the identical float.
+    """
+    return MAX_SLOWDOWN * (1.0 - math.exp(-(pressure * sensitivity)))
 
 
 def co_execution_ms(

@@ -67,8 +67,21 @@ waits for residency to drain; when *every* processor is blocked, one
 task is force-started and counted as a memory-pressure event (the
 paging regime of a real device).
 
+**Per-step work.**  Each processor's startable chain heads sit in a
+per-processor ready index (lowest request id first: the FIFO order), so
+picking the next slice never scans every request.  Rates are
+recomputed whenever the running set changes.  Chains built from a
+compiled slice table (:mod:`repro.runtime.compiled`) carry their
+contention inputs as :class:`CompiledSlice` constants, and with a
+``rate_memo`` the engine computes each distinct co-running set's rates
+once, with the float operations of
+:func:`~repro.profiling.slowdown.slowdown_fraction` in the same order,
+so memoized and recomputed rates are the same floats.
+
 **Causality (exact blame data).**  With ``track_causality=True`` (the
-default) the engine records, per task, a :class:`TaskCausality` row:
+default, kept by every executed run; the planner's silent objective
+probes turn it off because nothing reads it there) the engine records,
+per task, a :class:`TaskCausality` row:
 the instant the slice became ready (its request's arrival for the
 first stage, the predecessor's departure otherwise), what *enabled*
 its start (arrival, predecessor finish, a specific processor freeing,
@@ -87,14 +100,18 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, cast
 
 from .. import obs
 from ..hardware.memory import MemoryDemand, MemoryGovernor
-from ..hardware.processor import ProcessorSpec
+from ..hardware.processor import ProcessorKind, ProcessorSpec
 from ..hardware.soc import SocSpec
-from ..profiling.slowdown import SliceWorkload, slowdown_fraction
-from ..util import percentile
+from ..profiling.slowdown import (
+    SliceWorkload,
+    saturated_slowdown,
+    slowdown_fraction,
+)
+from ..util import LRUCache, percentile
 from .arrivals import ArrivalsLike, resolve_arrivals
 
 _EPS = 1e-9
@@ -137,9 +154,39 @@ class Event:
 # ------------------------------------------------------- task structures
 
 
+@dataclass(frozen=True)
+class CompiledSlice:
+    """Precomputed contention inputs of one slice on one processor.
+
+    Exactly the values the step arithmetic would otherwise re-derive
+    from the task's :class:`~repro.profiling.slowdown.SliceWorkload` on
+    every step (:meth:`~repro.profiling.slowdown.SliceWorkload.intensity`,
+    :meth:`~repro.profiling.slowdown.SliceWorkload.sensitivity`, the
+    processor kind the coupling is looked up by, and the DRAM traffic a
+    departure records).  ``key`` identifies the slice within the table
+    that compiled it (:mod:`repro.runtime.compiled`), so a tuple of keys
+    identifies a co-running set for the engine's rate memo.
+    """
+
+    key: int
+    kind: ProcessorKind
+    intensity: float
+    sensitivity: float
+    traffic_bytes: float
+
+
+#: Memoized co-run rates: running-slice keys, in processor order, to
+#: the per-task ``1 + slowdown`` rates of that set.
+RateMemo = LRUCache[Tuple[int, ...], Tuple[float, ...]]
+
+
 @dataclass
 class ChainTask:
-    """One schedulable unit: a slice bound to a specific processor."""
+    """One schedulable unit: a slice bound to a specific processor.
+
+    ``compiled`` is set on tasks built from a compiled slice table; the
+    engine then reads contention inputs off it instead of the workload.
+    """
 
     request: int
     proc: ProcessorSpec
@@ -149,6 +196,7 @@ class ChainTask:
     stage: int = 0
     remaining_ms: float = 0.0
     start_ms: Optional[float] = None
+    compiled: Optional[CompiledSlice] = None
 
     def __post_init__(self) -> None:
         if self.solo_ms < 0:
@@ -481,12 +529,20 @@ class DiscreteEventEngine:
             (off by default — objective probes run thousands of
             simulations and must not accumulate event objects).
         track_causality: Record per-task :class:`TaskCausality` rows
-            and the co-run inflation matrix (on by default; pure
-            bookkeeping that never perturbs the step arithmetic).
+            and the co-run inflation matrix.  Pure bookkeeping that
+            never perturbs the step arithmetic: executed runs keep the
+            default (on), the planner's silent objective probes turn it
+            off because nothing reads causality there.
+        rate_memo: Memoize co-run rates by the running set's
+            :attr:`CompiledSlice.key` tuple (the objective's compiled
+            path).  Every task must then carry ``compiled`` constants,
+            and fault injection is refused (a reassigned task's
+            constants would no longer describe its processor).
 
     Raises:
         ValueError: on arrival-length mismatch, a task whose processor
-            is not part of the SoC, or a negative deadline.
+            is not part of the SoC, a negative deadline, or a
+            ``rate_memo`` with uncompiled tasks or fault injection.
         MemoryError: if a single slice alone exceeds the capacity.
     """
 
@@ -503,6 +559,7 @@ class DiscreteEventEngine:
         record: bool = True,
         keep_events: bool = False,
         track_causality: bool = True,
+        rate_memo: Optional[RateMemo] = None,
     ) -> None:
         self._soc = soc
         self._chains = [list(chain) for chain in chains]
@@ -516,6 +573,12 @@ class DiscreteEventEngine:
         self._keep_events = keep_events
         self._offline = dict(processor_offline_ms or {})
         self._deadline_ms = self._resolve_deadlines(deadline_ms)
+        self._rate_memo = rate_memo
+        if rate_memo is not None:
+            if self._offline:
+                raise ValueError("rate_memo cannot be combined with faults")
+            if any(t.compiled is None for c in self._chains for t in c):
+                raise ValueError("rate_memo needs compiled chain tasks")
 
         proc_names = {p.name for p in soc.processors}
         capacity = soc.memory_capacity_bytes
@@ -542,6 +605,11 @@ class DiscreteEventEngine:
         self._arrived = [False] * n
         self._proc_running: Dict[str, Optional[ChainTask]] = {
             p.name: None for p in soc.processors
+        }
+        # Per processor: requests whose chain head is bound to it and
+        # startable (arrived, predecessor done) — the FIFO candidates.
+        self._ready: Dict[str, Set[int]] = {
+            p.name: set() for p in soc.processors
         }
         self._request_alloc: Dict[int, float] = {}
         self._allocated: Set[int] = set()  # id(task) with a live arena
@@ -768,6 +836,7 @@ class DiscreteEventEngine:
             if kind == ARRIVAL:
                 request = int(payload)  # type: ignore[arg-type]
                 self._arrived[request] = True
+                self._mark_ready(request)
                 if request not in self._removed:
                     # The first slice becomes ready at the arrival
                     # timestamp (not the possibly epsilon-later pop).
@@ -825,6 +894,8 @@ class DiscreteEventEngine:
                 self._last_freed[running_proc] = trunc_key
         self._next_idx[request] = len(chain)
         self._prev_done[request] = True
+        for ready in self._ready.values():
+            ready.discard(request)
         released = self._request_alloc.pop(request, 0.0)
         self._used_bytes -= released
         if self._track_causality and released > 0.0:
@@ -852,6 +923,7 @@ class DiscreteEventEngine:
             # and the arena stays allocated (the slice will resume).
             self._next_idx[request] -= 1
             self._prev_done[request] = True
+            self._mark_ready(request)
             if self._track_causality:
                 # The vacating slice has no finish yet, so a start it
                 # enables cannot reference a completed record.
@@ -908,7 +980,7 @@ class DiscreteEventEngine:
                     state.last_block = "memory"
 
     def _accrue_corun_inflation(
-        self, running: List[ChainTask], rates: Dict[int, float], dt: float
+        self, running: List[ChainTask], rates: Sequence[float], dt: float
     ) -> None:
         """Attribute each slice's contention inflation to its co-runners.
 
@@ -920,8 +992,7 @@ class DiscreteEventEngine:
         documented convention).  Keys are directional:
         ``(suffering processor, co-runner processor)``.
         """
-        for task in running:
-            rate = rates[id(task)]
+        for task, rate in zip(running, rates):
             if rate <= 1.0:
                 continue
             others = [
@@ -1028,6 +1099,9 @@ class DiscreteEventEngine:
                 )
             _, solo, proc = min(candidates, key=lambda c: c[0])
             backlog[proc.name] += solo
+            if i in self._ready[task.proc.name]:
+                self._ready[task.proc.name].remove(i)
+                self._ready[proc.name].add(i)
             task.proc = proc
             task.solo_ms = solo
             task.remaining_ms = solo
@@ -1039,22 +1113,23 @@ class DiscreteEventEngine:
                     end=task.workload.end,
                 )
 
+    def _mark_ready(self, request: int) -> None:
+        """Index the request's chain head under its processor, if the
+        head exists, its predecessor is done and the request arrived."""
+        idx = self._next_idx[request]
+        chain = self._chains[request]
+        if idx < len(chain) and self._prev_done[request] and self._arrived[request]:
+            self._ready[chain[idx].proc.name].add(request)
+
     def _ready_task_for(self, proc_name: str) -> Optional[ChainTask]:
+        """The lowest-id ready head bound to ``proc_name`` (FIFO)."""
         if self._is_offline(proc_name):
             return None
-        best: Optional[ChainTask] = None
-        for i in range(self._n):
-            idx = self._next_idx[i]
-            if idx >= len(self._chains[i]) or not self._prev_done[i]:
-                continue
-            task = self._chains[i][idx]
-            if task.proc.name != proc_name:
-                continue
-            if not self._arrived[i]:
-                continue
-            if best is None or task.request < best.request:
-                best = task
-        return best
+        ready = self._ready[proc_name]
+        if not ready:
+            return None
+        request = min(ready)
+        return self._chains[request][self._next_idx[request]]
 
     def _start_task(
         self, task: ChainTask, proc_name: str, forced: bool = False
@@ -1091,6 +1166,7 @@ class DiscreteEventEngine:
             )
         if self._first_start[task.request] is None:
             self._first_start[task.request] = self._now
+        self._ready[proc_name].remove(task.request)
         self._next_idx[task.request] += 1
         self._prev_done[task.request] = False
         self._emit(TASK_READY, request=task.request, processor=proc_name)
@@ -1163,6 +1239,54 @@ class DiscreteEventEngine:
 
     # ------------------------------------------------------ the main step
 
+    def _corun_rates(self, running: List[ChainTask]) -> Sequence[float]:
+        """Per-task progress rates ``1 + slowdown`` of the running set.
+
+        With a rate memo the set's rates are computed once per distinct
+        co-running slice tuple, from the tasks' compiled constants; the
+        float operations and their order are those of
+        :func:`~repro.profiling.slowdown.slowdown_fraction`, so memoized
+        and recomputed rates are bit-identical.
+        """
+        if not self._with_contention:
+            return [1.0] * len(running)
+        memo = self._rate_memo
+        if memo is None:
+            rates: List[float] = []
+            for task in running:
+                slowdown = 0.0
+                if task.workload is not None:
+                    others = [
+                        t.workload
+                        for t in running
+                        if t is not task and t.workload is not None
+                    ]
+                    slowdown = slowdown_fraction(
+                        self._soc, task.workload, others
+                    )
+                rates.append(1.0 + slowdown)
+            return rates
+        # Construction checked that every task carries its constants.
+        slices = cast(List[CompiledSlice], [t.compiled for t in running])
+        key = tuple([c.key for c in slices])
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        coupling = self._soc.coupling_factor
+        computed = []
+        for i, victim in enumerate(slices):
+            pressure = 0.0
+            for j, co in enumerate(slices):
+                if j != i:
+                    pressure += coupling(victim.kind, co.kind) * co.intensity
+            slowdown = 0.0
+            if pressure > 0.0:
+                slowdown = saturated_slowdown(pressure, victim.sensitivity)
+            computed.append(1.0 + slowdown)
+        memoized = tuple(computed)
+        memo.put(key, memoized)
+        return memoized
+
     def _step(self) -> None:
         self._pop_due_events()
         if self._outstanding <= 0:
@@ -1186,19 +1310,8 @@ class DiscreteEventEngine:
             self._now = next_ms
             return
 
-        rates: Dict[int, float] = {}
-        for task in running:
-            slowdown = 0.0
-            if self._with_contention and task.workload is not None:
-                others = [
-                    t.workload
-                    for t in running
-                    if t is not task and t.workload is not None
-                ]
-                slowdown = slowdown_fraction(self._soc, task.workload, others)
-            rates[id(task)] = 1.0 + slowdown
-
-        dt = min(task.remaining_ms * rates[id(task)] for task in running)
+        rates = self._corun_rates(running)
+        dt = min(task.remaining_ms * rate for task, rate in zip(running, rates))
         next_ms = self.next_event_time_ms()
         if next_ms is not None and next_ms > self._now + _EPS:
             dt = min(dt, next_ms - self._now)
@@ -1209,8 +1322,8 @@ class DiscreteEventEngine:
             if self._with_contention:
                 self._accrue_corun_inflation(running, rates, dt)
 
-        for task in running:
-            task.remaining_ms -= dt / rates[id(task)]
+        for task, rate in zip(running, rates):
+            task.remaining_ms -= dt / rate
             self._busy[task.proc.name] += dt
         self._now += dt
 
@@ -1219,6 +1332,7 @@ class DiscreteEventEngine:
             if task is not None and task.remaining_ms <= _EPS * 10:
                 self._proc_running[proc.name] = None
                 self._prev_done[task.request] = True
+                self._mark_ready(task.request)
                 self._finish[task.request] = self._now
                 self._completed += 1
                 self._outstanding -= 1
@@ -1238,7 +1352,9 @@ class DiscreteEventEngine:
                     if self._track_causality and released > 0.0:
                         self._last_release = (task.request, position)
                 traffic = 0.0
-                if task.workload is not None:
+                if task.compiled is not None:
+                    traffic = task.compiled.traffic_bytes
+                elif task.workload is not None:
                     traffic = task.workload.profile.traffic_bytes(
                         task.workload.proc,
                         task.workload.start,

@@ -48,6 +48,7 @@ from .engine import (  # noqa: F401  (re-exported: the historical home)
     DiscreteEventEngine,
     Event,
     ExecutionResult,
+    RateMemo,
     TaskRecord,
     TracePoint,
 )
@@ -85,6 +86,7 @@ def simulate_chains(
     deadline_ms: Optional[object] = None,
     keep_events: bool = False,
     track_causality: bool = True,
+    rate_memo: Optional[RateMemo] = None,
 ) -> ExecutionResult:
     """Simulate per-request task chains on one SoC.
 
@@ -119,7 +121,12 @@ def simulate_chains(
         keep_events: Keep the processed-event log on the result.
         track_causality: Record per-task
             :class:`~repro.runtime.engine.TaskCausality` rows and the
-            co-run inflation matrix (the blame layer's input).
+            co-run inflation matrix (the blame layer's input).  Executed
+            runs keep it on; the planner's objective probes
+            (:func:`~repro.runtime.schedule.async_makespan_ms`) skip it.
+        rate_memo: Memoized co-run rates for chains built by a
+            :class:`~repro.runtime.compiled.CompiledTables` (see the
+            engine's ``rate_memo``).
 
     Returns:
         The :class:`ExecutionResult`.
@@ -144,6 +151,7 @@ def simulate_chains(
         record=record,
         keep_events=keep_events,
         track_causality=track_causality,
+        rate_memo=rate_memo,
     ).run()
 
 
@@ -255,7 +263,18 @@ def execute_plan_perturbed(
     trace: bool = False,
     record: bool = True,
 ) -> ExecutionResult:
-    """Execute a plan with per-processor slowdown factors injected."""
+    """Execute a plan with per-processor slowdown factors injected.
+
+    The factors scale the solo times of the plan's own SoC,
+    ``plan.soc``.  After a recalibrating replan
+    (:class:`~repro.core.online.StreamingPlanner` with
+    ``recalibrate_on_drift``) that is the *recalibrated* SoC, whose
+    drifting processor is already slower, so a constant factor such as
+    ``{"gpu": 1.3}`` compounds on the recalibration: the executed device
+    is slower than the one the factor was meant to model, and drift
+    keeps firing.  To model a fixed true device, pass the ratio of its
+    speed to the plan SoC's instead.
+    """
     chains = plan_to_chains(plan)
     scale_chain_tasks(chains, factors)
     return simulate_chains(

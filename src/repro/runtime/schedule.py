@@ -27,6 +27,7 @@ from ..profiling.slowdown import SliceWorkload, slowdown_fraction
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from ..core.plan import PipelinePlan
+    from .compiled import CompiledTables
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,11 @@ def plan_bubbles_ms(plan: "PipelinePlan", with_contention: bool = True) -> float
     return build_schedule(plan, with_contention).total_bubble_ms
 
 
-def async_makespan_ms(plan: "PipelinePlan", with_contention: bool = True) -> float:
+def async_makespan_ms(
+    plan: "PipelinePlan",
+    with_contention: bool = True,
+    tables: Optional["CompiledTables"] = None,
+) -> float:
     """Asynchronous (event-driven) makespan of a plan.
 
     The synchronized-column model over-serializes: it forces every
@@ -163,19 +168,28 @@ def async_makespan_ms(plan: "PipelinePlan", with_contention: bool = True) -> flo
     re-validated with enforcement on).
 
     Each call is a full silent re-simulation (``objective_evaluations``
-    counts them).  This function is a deterministic pure function of the
-    plan configuration, which is what makes
-    :class:`repro.core.objective.ObjectiveCache` — the planner's
+    counts them) with causality tracking off: nothing reads it here, and
+    it never changes the step arithmetic.  This function is a
+    deterministic pure function of the plan configuration, which is what
+    makes :class:`repro.core.objective.ObjectiveCache` — the planner's
     memoization layer in front of it — exact rather than approximate.
+
+    ``tables`` (the cache passes its own) builds the chain tasks from a
+    compiled slice table and memoizes co-run rates by co-running set;
+    both hold exactly the values the plain path recomputes, so the
+    makespan is the same float with or without them.
     """
-    from .executor import execute_plan  # local import: avoid cycle
+    from .executor import plan_to_chains, simulate_chains  # avoid cycle
 
     obs.add("objective_evaluations")
-    return execute_plan(
-        plan,
+    return simulate_chains(
+        plan.soc,
+        tables.chains(plan) if tables is not None else plan_to_chains(plan),
         with_contention=with_contention,
         enforce_memory=False,
         record=False,
+        track_causality=False,
+        rate_memo=None if tables is None else tables.rates,
     ).makespan_ms
 
 

@@ -6,12 +6,18 @@ two helpers kept being re-invented upward in the tree — ``geomean``
 lived in ``experiments.common`` and was imported *down* by
 ``runtime.metrics`` (the layering violation H2P201 now bans), and float
 tolerance comparisons were open-coded as ``== 0.0`` (H2P102).
+:class:`LRUCache` lives here because caches on both sides of the
+``runtime``/``core`` boundary bound themselves with it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections import OrderedDict
+from typing import Generic, Optional, Sequence, TypeVar
+
+K = TypeVar("K")
+V = TypeVar("V")
 
 #: Default tolerances for :func:`approx_eq`.  Relative 1e-9 matches
 #: ``math.isclose``; the absolute floor makes comparisons against 0.0
@@ -90,3 +96,52 @@ def geomean(values: Sequence[float]) -> float:
     if any(v <= 0 for v in values):
         raise ValueError("geomean requires positive values")
     return math.exp(sum(math.log(v) for v in values) / len(values))
+
+
+class LRUCache(Generic[K, V]):
+    """A bounded least-recently-used mapping with hit/miss accounting.
+
+    The accounting is plain instance state (not ``repro.obs`` metrics)
+    so benchmarks and tests can read effectiveness with the recorder
+    off; callers that want the counters in the metrics registry add
+    them at their own call sites.
+    """
+
+    def __init__(self, maxsize: int = 1024) -> None:
+        if maxsize < 1:
+            raise ValueError(f"LRU maxsize must be >= 1, got {maxsize}")
+        self.maxsize = maxsize
+        self._data: "OrderedDict[K, V]" = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def __contains__(self, key: K) -> bool:
+        return key in self._data
+
+    def get(self, key: K) -> Optional[V]:
+        """The cached value, refreshed as most-recent; None on a miss."""
+        try:
+            value = self._data[key]
+        except KeyError:
+            self.misses += 1
+            return None
+        self._data.move_to_end(key)
+        self.hits += 1
+        return value
+
+    def put(self, key: K, value: V) -> None:
+        """Insert/refresh a value, evicting the oldest entry when full."""
+        if key in self._data:
+            self._data.move_to_end(key)
+        self._data[key] = value
+        if len(self._data) > self.maxsize:
+            self._data.popitem(last=False)
+            self.evictions += 1
+
+    def clear(self) -> None:
+        """Drop every entry (accounting is preserved)."""
+        self._data.clear()

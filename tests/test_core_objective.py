@@ -1,10 +1,13 @@
 """Tests for the planner hot-path caching layer (core.objective).
 
 Covers the LRU substrate, the plan fingerprint, the memoized objective,
-and the planner-level guarantees: cached and uncached planners emit
-byte-identical plans over the full zoo x SoC grid, and a repeated
-20-request mix stops re-running the event-driven simulation.
+the compiled simulation inputs behind each miss, and the planner-level
+guarantees: cached and uncached planners emit byte-identical plans over
+the full zoo x SoC grid, and a repeated 20-request mix stops re-running
+the event-driven simulation.
 """
+
+import dataclasses
 
 import pytest
 
@@ -13,9 +16,15 @@ from repro.core.objective import LRUCache, ObjectiveCache, plan_fingerprint
 from repro.core.plan import PipelinePlan, StageAssignment
 from repro.core.planner import Hetero2PipePlanner, PlannerConfig
 from repro.core.partition import partition_model
+from repro.core.stealing import move_boundary_layer
 from repro.hardware.soc import SOC_NAMES, get_soc
 from repro.models.zoo import MODEL_NAMES, get_model
+from repro.obs.blame import blame_requests
 from repro.profiling.profiler import SocProfiler
+from repro.runtime import engine as engine_module
+from repro.runtime import compiled
+from repro.runtime.compiled import CompiledTables
+from repro.runtime.executor import execute_plan, plan_to_chains, simulate_chains
 from repro.runtime.schedule import async_makespan_ms
 
 
@@ -268,3 +277,173 @@ class TestPlannerCacheCorrectness:
             counters = rec.metrics.snapshot()["counters"]
         assert result.num_requests == 6
         assert counters["plan_cache_hits"] == 2  # windows 2 and 3
+
+
+def reference_makespan(plan: PipelinePlan, with_contention: bool = True):
+    """The plain simulation the compiled objective must reproduce:
+    chains rebuilt from the profiles, rates recomputed every step,
+    causality tracked (the engine default)."""
+    return simulate_chains(
+        plan.soc,
+        plan_to_chains(plan),
+        with_contention=with_contention,
+        enforce_memory=False,
+        record=False,
+    ).makespan_ms
+
+
+def boundary_probes(plan: PipelinePlan):
+    """Every single-layer boundary move of every request, as plan copies."""
+    for i in range(plan.num_requests):
+        for s in range(plan.depth - 1):
+            for frm, to in ((s, s + 1), (s + 1, s)):
+                probe = plan.copy()
+                if move_boundary_layer(
+                    probe.assignments[i], frm, to, probe.processors
+                ):
+                    yield probe
+
+
+def whole_model_on_one_stage(soc, name):
+    """A plan whose only request runs entirely on one all-ops unit, so
+    every other stage is empty (``None``)."""
+    profile = SocProfiler(soc).profile(get_model(name))
+    k = next(
+        k for k, p in enumerate(soc.processors) if p.supports_all_ops
+    )
+    slices = [None] * len(soc.processors)
+    slices[k] = (0, profile.model.num_layers - 1)
+    return PipelinePlan(
+        soc=soc,
+        processors=tuple(soc.processors),
+        assignments=[StageAssignment(profile=profile, slices=slices)],
+    )
+
+
+class TestCompiledObjective:
+    @pytest.mark.parametrize("soc_name", SOC_NAMES)
+    def test_exact_over_zoo_grid_and_boundary_probes(self, soc_name):
+        soc = get_soc(soc_name)
+        plan = build_plan(soc, MODEL_NAMES)
+        probes = [plan] + list(boundary_probes(plan))
+        probes.append(whole_model_on_one_stage(soc, "resnet50"))
+        assert len(probes) > 20
+        assert any(
+            slc is None for p in probes for a in p.assignments for slc in a.slices
+        ), "the grid must cover empty stages"
+        objective = ObjectiveCache()
+        for probe in probes:
+            for contention in (True, False):
+                assert objective(probe, contention) == reference_makespan(
+                    probe, contention
+                )
+        assert objective.misses == len(probes) * 2
+        assert len(objective.tables.rates) > 0
+
+    def test_exact_under_tiny_bounds(self, monkeypatch):
+        """Evictions (and slice keys outliving their table entry in the
+        rate memo) never change a value."""
+        monkeypatch.setattr(compiled, "DEFAULT_SLICE_TABLE_SIZE", 4)
+        monkeypatch.setattr(compiled, "DEFAULT_RATE_MEMO_SIZE", 4)
+        soc = get_soc("kirin990")
+        plan = build_plan(soc, ["yolov4", "bert", "squeezenet", "resnet50"])
+        tables = CompiledTables()
+        for probe in [plan] + list(boundary_probes(plan)):
+            assert async_makespan_ms(probe, True, tables) == (
+                reference_makespan(probe)
+            )
+            assert len(tables.slices) <= 4
+            assert len(tables.rates) <= 4
+        assert tables.slices.evictions > 0
+        assert tables.rates.evictions > 0
+
+    def test_tables_bounded_and_emptied_by_invalidate(self):
+        planner = Hetero2PipePlanner(get_soc("kirin990"))
+        planner.plan([get_model(n) for n in MIX])
+        tables = planner.objective.tables
+        assert 0 < len(tables.slices) <= tables.slices.maxsize
+        assert 0 < len(tables.rates) <= tables.rates.maxsize
+        planner.invalidate_caches()
+        assert len(planner.objective) == 0
+        assert len(tables.slices) == 0
+        assert len(tables.rates) == 0
+
+    def test_custom_objective_gets_no_tables(self):
+        objective = ObjectiveCache(lambda plan, contention=True: 1.0)
+        assert objective.tables is None
+        assert objective(build_plan(get_soc("kirin990"), ["alexnet"])) == 1.0
+
+    def test_recalibrated_soc_never_reads_other_planners_entries(self):
+        soc = get_soc("kirin990")
+        slower = dataclasses.replace(
+            soc,
+            processors=tuple(
+                dataclasses.replace(p, peak_gflops=p.peak_gflops / 1.3)
+                if p.name == "gpu"
+                else p
+                for p in soc.processors
+            ),
+        )
+        assert slower.name == soc.name
+        models = [get_model(n) for n in MIX]
+        first = Hetero2PipePlanner(soc)
+        second = Hetero2PipePlanner(slower)
+        first.plan(models)
+        report = second.plan(models)
+        tables = second.objective.tables
+        assert tables is not first.objective.tables
+        plan = report.plan
+        for assignment in plan.assignments:
+            for k, slc in enumerate(assignment.slices):
+                if slc is None:
+                    continue
+                tail = (id(plan.processors), id(assignment.profile), k) + slc
+                assert (id(slower),) + tail in tables.slices
+                assert (id(soc),) + tail not in tables.slices
+        uncached = Hetero2PipePlanner(slower, PlannerConfig.uncached())
+        assert canonical(report.plan) == canonical(uncached.plan(models).plan)
+        assert second.objective(report.plan) == reference_makespan(report.plan)
+
+
+class TestObjectiveProbesSkipCausality:
+    @pytest.fixture
+    def engine_causality(self, monkeypatch):
+        """Records ``track_causality`` of every engine constructed."""
+        seen = []
+        original = engine_module.DiscreteEventEngine.__init__
+
+        def spy(self, *args, **kwargs):
+            seen.append(kwargs.get("track_causality", True))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(engine_module.DiscreteEventEngine, "__init__", spy)
+        return seen
+
+    @pytest.mark.parametrize(
+        "config", [PlannerConfig(), PlannerConfig.uncached()]
+    )
+    def test_probes_off_executed_run_on(self, engine_causality, config):
+        planner = Hetero2PipePlanner(get_soc("kirin990"), config)
+        report = planner.plan([get_model(n) for n in MIX])
+        assert engine_causality, "the cold plan must probe the objective"
+        assert not any(engine_causality)
+        result = execute_plan(report.plan)
+        assert engine_causality[-1] is True
+        assert result.causality
+        blames = blame_requests(result)
+        assert len(blames) == report.plan.num_requests
+        assert all(abs(b.residue_ms) <= 1e-9 for b in blames)
+
+    @pytest.mark.parametrize(
+        "config, evaluations",
+        [(PlannerConfig(), 438), (PlannerConfig.uncached(), 477)],
+    )
+    def test_objective_evaluations_pinned(self, config, evaluations):
+        """The overhead guard's five-model Kirin 990 mix runs exactly as
+        many simulations as before the compiled path existed."""
+        with obs.use_recorder(obs.InMemoryRecorder()) as rec:
+            Hetero2PipePlanner(get_soc("kirin990"), config).plan(
+                [get_model(n) for n in MIX]
+            )
+            counters = rec.metrics.snapshot()["counters"]
+        assert counters["objective_evaluations"] == evaluations

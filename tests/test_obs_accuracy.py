@@ -22,6 +22,7 @@ from repro.core.online import StreamingPlanner
 from repro.core.planner import Hetero2PipePlanner
 from repro.hardware.soc import get_soc
 from repro.models.zoo import get_model
+from repro.profiling.profiler import SocProfiler
 from repro.obs import (
     CusumDetector,
     DriftDetected,
@@ -411,6 +412,39 @@ class TestStreamingDrift:
             for name, s in planner.recalibration_scales.items()
             if name != "gpu"
         )
+
+    def test_constant_factor_compounds_after_recalibration(self):
+        """Pins execute_plan_perturbed's documented semantics: factors
+        scale ``plan.soc``, so after a recalibrating replan the same
+        constant factor models a slower device than the true one."""
+        original = get_soc("kirin990")
+        streaming = StreamingPlanner(
+            original,
+            window_size=4,
+            track_accuracy=True,
+            execute=partial(execute_plan_perturbed, factors=PERTURB),
+        )
+        assert streaming.run(self._stream()).replans >= 1
+        assert streaming.recalibration_scales["gpu"] < 1.0
+        plan = streaming.planner.plan(_models(STREAM_MODELS)).plan
+        assert plan.soc is streaming.soc
+        executed = execute_plan_perturbed(plan, PERTURB, record=False)
+        gpu = [p.name for p in original.processors].index("gpu")
+        true_profiler = SocProfiler(original)
+        gpu_records = [r for r in executed.records if r.processor == "gpu"]
+        assert gpu_records
+        for rec in gpu_records:
+            assignment = plan.assignments[rec.request]
+            start, end = assignment.slices[gpu]
+            next_proc = (
+                original.processors[gpu + 1]
+                if gpu + 1 < len(original.processors)
+                else None
+            )
+            true_ms = PERTURB["gpu"] * true_profiler.profile(
+                assignment.profile.model
+            ).slice_cost_ms(original.processors[gpu], start, end, next_proc)
+            assert rec.solo_ms > true_ms
 
     def test_windows_map_onto_residual_reports(self):
         planner = StreamingPlanner(
