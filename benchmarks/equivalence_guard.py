@@ -14,8 +14,10 @@ two simulators task record by task record:
 * identical trace lengths and memory-pressure counts.
 
 Covered variants per SoC: closed loop, staggered arrivals, contention
-off, trace on, and fault injection (first processor offline mid-run).
-Any divergence fails the build (the ``executor-equivalence`` CI job).
+off, trace on, fault injection (first processor offline mid-run), and
+the path the planner's objective probes (chains from a slice table, a
+co-run rate memo, no memory gate, no causality).  Any divergence fails
+the build (the ``executor-equivalence`` CI job).
 
 Run directly (exit code 0/1)::
 
@@ -28,9 +30,13 @@ from repro.core.planner import Hetero2PipePlanner
 from repro.hardware.soc import SOC_NAMES, get_soc
 from repro.models.zoo import MODEL_NAMES, get_model
 from repro.runtime._legacy_executor import legacy_simulate_chains
+from repro.runtime.compiled import CompiledTables
 from repro.runtime.executor import plan_to_chains, simulate_chains
 
 TOLERANCE_MS = 1e-9
+
+#: The variant simulated the way ``async_makespan_ms`` probes a plan.
+OBJECTIVE_PATH = "objective-path"
 
 
 def _variants(plan):
@@ -44,6 +50,7 @@ def _variants(plan):
         ("no-contention", {"with_contention": False}),
         ("traced", {"trace": True}),
         ("fault-injected", {"processor_offline_ms": {first_proc: 15.0}}),
+        (OBJECTIVE_PATH, {"enforce_memory": False}),
     ]
 
 
@@ -79,9 +86,14 @@ def main():
     for soc_name in SOC_NAMES:
         soc = get_soc(soc_name)
         plan = Hetero2PipePlanner(soc).plan(models).plan
+        tables = CompiledTables()
         for label, kwargs in _variants(plan):
+            slices, probe = None, {}
+            if label == OBJECTIVE_PATH:
+                slices = tables.slices
+                probe = {"track_causality": False, "rate_memo": tables.rates}
             engine = simulate_chains(
-                soc, plan_to_chains(plan), record=False, **kwargs
+                soc, plan_to_chains(plan, slices), record=False, **kwargs, **probe
             )
             legacy = legacy_simulate_chains(
                 soc, plan_to_chains(plan), **kwargs

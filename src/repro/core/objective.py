@@ -30,8 +30,9 @@ This module removes the redundancy without weakening the search:
   that works even when the observability recorder is off.
 
 Each miss is itself cheap: with the default objective the cache owns a
-:class:`~repro.runtime.compiled.CompiledTables` — a slice table and a
-co-run rate memo — and runs every probe without causality tracking.
+:class:`~repro.runtime.compiled.CompiledTables` — a slice table that
+chain building consults and a co-run rate memo the engine consults —
+and runs every probe without causality tracking.
 
 Cache-effectiveness counters flow through :mod:`repro.obs`
 (``objective_cache_hits`` / ``objective_cache_misses``; the planner
@@ -112,12 +113,12 @@ class ObjectiveCache:
     must never outlive the profiler whose costs it memoized.
 
     With the default objective, misses run on this cache's
-    :class:`~repro.runtime.compiled.CompiledTables` (built lazily,
+    :class:`~repro.runtime.compiled.CompiledTables` (filled lazily,
     LRU-bounded, emptied by :meth:`clear`), and like every objective
     probe they skip causality tracking, which executed runs keep.  The
-    tables hold exactly the values a plain simulation recomputes, so
-    the memoized float is the one ``simulate_chains`` returns for the
-    same plan.
+    tables only cache values every simulation computes the same way,
+    so the memoized float is the one ``simulate_chains`` returns for
+    the same plan without them.
 
     Args:
         objective: The underlying plan-level objective.

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..hardware.soc import SocSpec
 from ..runtime.engine import ChainTask, ExecutionResult
-from ..runtime.executor import simulate_chains
+from ..runtime.executor import replicate_chains, simulate_chains
 
 #: Intervention kinds (``WhatIf.kind``).
 BASELINE = "baseline"
@@ -115,26 +115,6 @@ def parse_whatifs(specs: str) -> List[WhatIf]:
     return [parse_whatif(s) for s in specs.split(",") if s.strip()]
 
 
-def _clone_chains(
-    chains: Sequence[Sequence[ChainTask]],
-) -> List[List[ChainTask]]:
-    """Fresh task objects: engine runs mutate remaining/start/proc."""
-    return [
-        [
-            ChainTask(
-                request=task.request,
-                proc=task.proc,
-                solo_ms=task.solo_ms,
-                workload=task.workload,
-                working_set=task.working_set,
-                stage=task.stage,
-            )
-            for task in chain
-        ]
-        for chain in chains
-    ]
-
-
 def run_counterfactual(
     soc: SocSpec,
     chains: Sequence[Sequence[ChainTask]],
@@ -159,7 +139,7 @@ def run_counterfactual(
         ValueError: on an unknown processor / out-of-range request in
             the intervention, and the engine's own input errors.
     """
-    cloned = _clone_chains(chains)
+    cloned = replicate_chains(chains, 1)
     times = list(arrivals) if arrivals is not None else None
     deadlines = (
         list(deadline_ms)

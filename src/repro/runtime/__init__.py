@@ -18,7 +18,6 @@ from .engine import (
 from .executor import (
     ChainTask,
     ExecutionResult,
-    PipelineExecutor,
     TaskRecord,
     TracePoint,
     execute_plan,
@@ -60,7 +59,6 @@ __all__ = [
     "TaskCausality",
     "ChainTask",
     "ExecutionResult",
-    "PipelineExecutor",
     "TaskRecord",
     "TracePoint",
     "execute_plan",

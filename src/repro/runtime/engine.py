@@ -70,13 +70,13 @@ paging regime of a real device).
 **Per-step work.**  Each processor's startable chain heads sit in a
 per-processor ready index (lowest request id first: the FIFO order), so
 picking the next slice never scans every request.  Rates are
-recomputed whenever the running set changes.  Chains built from a
-compiled slice table (:mod:`repro.runtime.compiled`) carry their
-contention inputs as :class:`CompiledSlice` constants, and with a
-``rate_memo`` the engine computes each distinct co-running set's rates
-once, with the float operations of
-:func:`~repro.profiling.slowdown.slowdown_fraction` in the same order,
-so memoized and recomputed rates are the same floats.
+recomputed whenever the running set changes, from the
+:class:`CompiledSlice` constants every :class:`ChainTask` carries
+(derived once from its workload, never per step), with the float
+operations of :func:`~repro.profiling.slowdown.slowdown_fraction` in
+the same order, so the rates are the floats the legacy loop computes.
+With a ``rate_memo`` (the planner's objective passes one) each distinct
+co-running set's rates are computed once and reused across runs.
 
 **Causality (exact blame data).**  With ``track_causality=True`` (the
 default, kept by every executed run; the planner's silent objective
@@ -100,17 +100,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, cast
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import obs
 from ..hardware.memory import MemoryDemand, MemoryGovernor
 from ..hardware.processor import ProcessorKind, ProcessorSpec
 from ..hardware.soc import SocSpec
-from ..profiling.slowdown import (
-    SliceWorkload,
-    saturated_slowdown,
-    slowdown_fraction,
-)
+from ..profiling.slowdown import SliceWorkload, saturated_slowdown
 from ..util import LRUCache, percentile
 from .arrivals import ArrivalsLike, resolve_arrivals
 
@@ -154,38 +150,56 @@ class Event:
 # ------------------------------------------------------- task structures
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompiledSlice:
     """Precomputed contention inputs of one slice on one processor.
 
-    Exactly the values the step arithmetic would otherwise re-derive
-    from the task's :class:`~repro.profiling.slowdown.SliceWorkload` on
-    every step (:meth:`~repro.profiling.slowdown.SliceWorkload.intensity`,
-    :meth:`~repro.profiling.slowdown.SliceWorkload.sensitivity`, the
-    processor kind the coupling is looked up by, and the DRAM traffic a
-    departure records).  ``key`` identifies the slice within the table
-    that compiled it (:mod:`repro.runtime.compiled`), so a tuple of keys
-    identifies a co-running set for the engine's rate memo.
+    Exactly the values :func:`~repro.profiling.slowdown.slowdown_fraction`
+    derives from a :class:`~repro.profiling.slowdown.SliceWorkload`
+    (:meth:`~repro.profiling.slowdown.SliceWorkload.intensity`,
+    :meth:`~repro.profiling.slowdown.SliceWorkload.sensitivity` and the
+    processor kind the coupling is looked up by), plus the DRAM traffic
+    a departure records.  ``eq=False``: instances hash by identity, so a
+    tuple of them identifies a co-running set for the rate memo.
     """
 
-    key: int
     kind: ProcessorKind
     intensity: float
     sensitivity: float
     traffic_bytes: float
 
+    @classmethod
+    def of(
+        cls, proc: ProcessorSpec, workload: Optional[SliceWorkload]
+    ) -> "CompiledSlice":
+        """The constants of ``workload``; all zero without one, which
+        neither slows nor is slowed by any co-runner."""
+        if workload is None:
+            return cls(proc.kind, 0.0, 0.0, 0.0)
+        return cls(
+            kind=workload.proc.kind,
+            intensity=workload.intensity(),
+            sensitivity=workload.sensitivity(),
+            traffic_bytes=workload.profile.traffic_bytes(
+                workload.proc, workload.start, workload.end
+            ),
+        )
 
-#: Memoized co-run rates: running-slice keys, in processor order, to
-#: the per-task ``1 + slowdown`` rates of that set.
-RateMemo = LRUCache[Tuple[int, ...], Tuple[float, ...]]
+
+#: Memoized co-run rates: the running slices, in processor order, to
+#: the per-task ``1 + slowdown`` rates of that set.  An entry holds its
+#: key, so no slice's identity can be reused while the entry lives.
+RateMemo = LRUCache[Tuple[CompiledSlice, ...], Tuple[float, ...]]
 
 
 @dataclass
 class ChainTask:
     """One schedulable unit: a slice bound to a specific processor.
 
-    ``compiled`` is set on tasks built from a compiled slice table; the
-    engine then reads contention inputs off it instead of the workload.
+    ``compiled`` holds the slice's contention constants; when not given
+    they are derived from ``workload`` on construction.  Per-run
+    progress (``remaining_ms``, ``start_ms``) is not an init field, so
+    ``dataclasses.replace`` clones a task without it.
     """
 
     request: int
@@ -194,14 +208,16 @@ class ChainTask:
     workload: Optional[SliceWorkload]
     working_set: float
     stage: int = 0
-    remaining_ms: float = 0.0
-    start_ms: Optional[float] = None
-    compiled: Optional[CompiledSlice] = None
+    remaining_ms: float = field(default=0.0, init=False)
+    start_ms: Optional[float] = field(default=None, init=False)
+    compiled: CompiledSlice = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.solo_ms < 0:
             raise ValueError("solo_ms must be >= 0")
         self.remaining_ms = self.solo_ms
+        if self.compiled is None:
+            self.compiled = CompiledSlice.of(self.proc, self.workload)
 
 
 @dataclass(frozen=True)
@@ -534,15 +550,12 @@ class DiscreteEventEngine:
             default (on), the planner's silent objective probes turn it
             off because nothing reads causality there.
         rate_memo: Memoize co-run rates by the running set's
-            :attr:`CompiledSlice.key` tuple (the objective's compiled
-            path).  Every task must then carry ``compiled`` constants,
-            and fault injection is refused (a reassigned task's
-            constants would no longer describe its processor).
+            :class:`CompiledSlice` tuple, shared across runs (the
+            planner's objective passes one per scope).
 
     Raises:
         ValueError: on arrival-length mismatch, a task whose processor
-            is not part of the SoC, a negative deadline, or a
-            ``rate_memo`` with uncompiled tasks or fault injection.
+            is not part of the SoC, or a negative deadline.
         MemoryError: if a single slice alone exceeds the capacity.
     """
 
@@ -574,11 +587,6 @@ class DiscreteEventEngine:
         self._offline = dict(processor_offline_ms or {})
         self._deadline_ms = self._resolve_deadlines(deadline_ms)
         self._rate_memo = rate_memo
-        if rate_memo is not None:
-            if self._offline:
-                raise ValueError("rate_memo cannot be combined with faults")
-            if any(t.compiled is None for c in self._chains for t in c):
-                raise ValueError("rate_memo needs compiled chain tasks")
 
         proc_names = {p.name for p in soc.processors}
         capacity = soc.memory_capacity_bytes
@@ -1112,6 +1120,7 @@ class DiscreteEventEngine:
                     start=task.workload.start,
                     end=task.workload.end,
                 )
+            task.compiled = CompiledSlice.of(proc, task.workload)
 
     def _mark_ready(self, request: int) -> None:
         """Index the request's chain head under its processor, if the
@@ -1242,38 +1251,21 @@ class DiscreteEventEngine:
     def _corun_rates(self, running: List[ChainTask]) -> Sequence[float]:
         """Per-task progress rates ``1 + slowdown`` of the running set.
 
-        With a rate memo the set's rates are computed once per distinct
-        co-running slice tuple, from the tasks' compiled constants; the
-        float operations and their order are those of
-        :func:`~repro.profiling.slowdown.slowdown_fraction`, so memoized
-        and recomputed rates are bit-identical.
+        Computed from the tasks' compiled constants with the float
+        operations of :func:`~repro.profiling.slowdown.slowdown_fraction`
+        in the same order; with a rate memo, once per distinct
+        co-running set.
         """
         if not self._with_contention:
             return [1.0] * len(running)
+        slices = tuple([t.compiled for t in running])
         memo = self._rate_memo
-        if memo is None:
-            rates: List[float] = []
-            for task in running:
-                slowdown = 0.0
-                if task.workload is not None:
-                    others = [
-                        t.workload
-                        for t in running
-                        if t is not task and t.workload is not None
-                    ]
-                    slowdown = slowdown_fraction(
-                        self._soc, task.workload, others
-                    )
-                rates.append(1.0 + slowdown)
-            return rates
-        # Construction checked that every task carries its constants.
-        slices = cast(List[CompiledSlice], [t.compiled for t in running])
-        key = tuple([c.key for c in slices])
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
+        if memo is not None:
+            cached = memo.get(slices)
+            if cached is not None:
+                return cached
         coupling = self._soc.coupling_factor
-        computed = []
+        rates = []
         for i, victim in enumerate(slices):
             pressure = 0.0
             for j, co in enumerate(slices):
@@ -1282,10 +1274,10 @@ class DiscreteEventEngine:
             slowdown = 0.0
             if pressure > 0.0:
                 slowdown = saturated_slowdown(pressure, victim.sensitivity)
-            computed.append(1.0 + slowdown)
-        memoized = tuple(computed)
-        memo.put(key, memoized)
-        return memoized
+            rates.append(1.0 + slowdown)
+        if memo is not None:
+            memo.put(slices, tuple(rates))
+        return rates
 
     def _step(self) -> None:
         self._pop_due_events()
@@ -1351,15 +1343,6 @@ class DiscreteEventEngine:
                     self._used_bytes -= released
                     if self._track_causality and released > 0.0:
                         self._last_release = (task.request, position)
-                traffic = 0.0
-                if task.compiled is not None:
-                    traffic = task.compiled.traffic_bytes
-                elif task.workload is not None:
-                    traffic = task.workload.profile.traffic_bytes(
-                        task.workload.proc,
-                        task.workload.start,
-                        task.workload.end,
-                    )
                 self._records.append(
                     TaskRecord(
                         request=task.request,
@@ -1368,7 +1351,7 @@ class DiscreteEventEngine:
                         start_ms=task.start_ms or 0.0,
                         finish_ms=self._now,
                         solo_ms=task.solo_ms,
-                        traffic_bytes=traffic,
+                        traffic_bytes=task.compiled.traffic_bytes,
                     )
                 )
                 self._emit(

@@ -37,14 +37,18 @@ loop preserved in :mod:`repro.runtime._legacy_executor`):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from dataclasses import replace
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from ..hardware.processor import ProcessorSpec
 from ..profiling.slowdown import SliceWorkload
+from ..util import LRUCache
 from .arrivals import ArrivalsLike
 from .engine import (  # noqa: F401  (re-exported: the historical home)
     _EPS,
     ARENA_OVERHEAD_FACTOR,
     ChainTask,
+    CompiledSlice,
     DiscreteEventEngine,
     Event,
     ExecutionResult,
@@ -62,7 +66,6 @@ __all__ = [
     "ChainTask",
     "Event",
     "ExecutionResult",
-    "PipelineExecutor",
     "TaskRecord",
     "TracePoint",
     "execute_plan",
@@ -124,9 +127,9 @@ def simulate_chains(
             co-run inflation matrix (the blame layer's input).  Executed
             runs keep it on; the planner's objective probes
             (:func:`~repro.runtime.schedule.async_makespan_ms`) skip it.
-        rate_memo: Memoized co-run rates for chains built by a
-            :class:`~repro.runtime.compiled.CompiledTables` (see the
-            engine's ``rate_memo``).
+        rate_memo: Co-run rates memoized across runs (the planner's
+            objective passes its
+            :attr:`~repro.runtime.compiled.CompiledTables.rates`).
 
     Returns:
         The :class:`ExecutionResult`.
@@ -155,28 +158,76 @@ def simulate_chains(
     ).run()
 
 
-def plan_to_chains(plan: "PipelinePlan") -> List[List[ChainTask]]:
-    """Adapt a pipeline plan to the chain representation."""
+class SliceEntry(NamedTuple):
+    """One compiled plan slice; ``soc``/``processors`` pin the key's ids."""
+
+    soc: SocSpec
+    processors: Tuple[ProcessorSpec, ...]
+    proc: ProcessorSpec
+    solo_ms: float
+    workload: SliceWorkload
+    working_set: float
+    compiled: CompiledSlice
+
+
+#: ``(id(soc), id(processors), id(profile), stage, start, end)``.
+SliceKey = Tuple[int, int, int, int, int, int]
+
+#: Compiled plan slices, reused across the plans of one objective scope.
+SliceTable = LRUCache[SliceKey, SliceEntry]
+
+
+def plan_to_chains(
+    plan: "PipelinePlan", slices: Optional[SliceTable] = None
+) -> List[List[ChainTask]]:
+    """Adapt a pipeline plan to the chain representation.
+
+    ``slices`` is an optional cache of compiled slices (the planner's
+    objective passes its
+    :attr:`~repro.runtime.compiled.CompiledTables.slices`).  An entry
+    holds exactly what this function would compute for its slice, so
+    the chains are the same with or without it.  The SoC, processor
+    tuple and profile enter the key by identity, and every entry holds
+    references to those objects, so an identity cannot be reused by
+    another object while its entry lives.
+    """
+    soc, processors = plan.soc, plan.processors
     chains: List[List[ChainTask]] = []
     for i, assignment in enumerate(plan.assignments):
+        profile = assignment.profile
         chain: List[ChainTask] = []
         for k, slc in enumerate(assignment.slices):
             if slc is None:
                 continue
+            start, end = slc
+            key = (id(soc), id(processors), id(profile), k, start, end)
+            entry = None if slices is None else slices.get(key)
+            if entry is None:
+                proc = processors[k]
+                workload = SliceWorkload(
+                    profile=profile, proc=proc, start=start, end=end
+                )
+                entry = SliceEntry(
+                    soc=soc,
+                    processors=processors,
+                    proc=proc,
+                    solo_ms=assignment.stage_time_ms(k, processors),
+                    workload=workload,
+                    working_set=ARENA_OVERHEAD_FACTOR
+                    * profile.working_set_bytes(start, end),
+                    compiled=CompiledSlice.of(proc, workload),
+                )
+                if slices is not None:
+                    slices.put(key, entry)
             chain.append(
                 ChainTask(
                     request=i,
-                    proc=plan.processors[k],
-                    solo_ms=assignment.stage_time_ms(k, plan.processors),
-                    workload=SliceWorkload(
-                        profile=assignment.profile,
-                        proc=plan.processors[k],
-                        start=slc[0],
-                        end=slc[1],
-                    ),
-                    working_set=ARENA_OVERHEAD_FACTOR
-                    * assignment.profile.working_set_bytes(slc[0], slc[1]),
+                    proc=entry.proc,
+                    solo_ms=entry.solo_ms,
+                    workload=entry.workload,
+                    working_set=entry.working_set,
                     stage=k,
+                    compiled=entry.compiled,
                 )
             )
         chains.append(chain)
@@ -191,10 +242,12 @@ def replicate_chains(
 
     Open-loop streaming runs (the ``slo`` verb, the SLO guard) need far
     more requests than a plan has models; this builds fresh
-    :class:`ChainTask` instances (engine tasks are mutable — sharing
+    :class:`ChainTask` clones (engine tasks are mutable — sharing
     them across requests would corrupt ``remaining_ms``) with request
     ids offset by ``round * len(chains)``, matching the arrival order
-    of a repeated model mix.
+    of a repeated model mix.  A clone copies every field but the
+    request id and per-run progress, so one copy of an executed chain
+    set is a fresh run of it (the what-if layer's counterfactuals).
 
     Raises:
         ValueError: on a non-positive copy count.
@@ -206,17 +259,7 @@ def replicate_chains(
         offset = round_index * len(chains)
         for i, chain in enumerate(chains):
             replicated.append(
-                [
-                    ChainTask(
-                        request=offset + i,
-                        proc=task.proc,
-                        solo_ms=task.solo_ms,
-                        workload=task.workload,
-                        working_set=task.working_set,
-                        stage=task.stage,
-                    )
-                    for task in chain
-                ]
+                [replace(task, request=offset + i) for task in chain]
             )
     return replicated
 
@@ -288,39 +331,6 @@ def execute_plan_perturbed(
     )
 
 
-class PipelineExecutor:
-    """Simulates one :class:`~repro.core.plan.PipelinePlan` end to end."""
-
-    def __init__(
-        self,
-        plan: "PipelinePlan",
-        with_contention: bool = True,
-        enforce_memory: bool = True,
-        trace: bool = False,
-        record: bool = True,
-        deadline_ms: Optional[object] = None,
-    ):
-        self.plan = plan
-        self.with_contention = with_contention
-        self.enforce_memory = enforce_memory
-        self.trace_enabled = trace
-        self.record = record
-        self.deadline_ms = deadline_ms
-
-    def run(self, arrivals: ArrivalsLike = None) -> ExecutionResult:
-        """Simulate the plan (see :func:`simulate_chains`)."""
-        return simulate_chains(
-            self.plan.soc,
-            plan_to_chains(self.plan),
-            arrivals=arrivals,
-            with_contention=self.with_contention,
-            enforce_memory=self.enforce_memory,
-            trace=self.trace_enabled,
-            record=self.record,
-            deadline_ms=self.deadline_ms,
-        )
-
-
 def execute_plan(
     plan: "PipelinePlan",
     arrivals: ArrivalsLike = None,
@@ -330,12 +340,14 @@ def execute_plan(
     record: bool = True,
     deadline_ms: Optional[object] = None,
 ) -> ExecutionResult:
-    """Convenience wrapper: build an executor and run it."""
-    return PipelineExecutor(
-        plan,
+    """Simulate one plan end to end (see :func:`simulate_chains`)."""
+    return simulate_chains(
+        plan.soc,
+        plan_to_chains(plan),
+        arrivals=arrivals,
         with_contention=with_contention,
         enforce_memory=enforce_memory,
         trace=trace,
         record=record,
         deadline_ms=deadline_ms,
-    ).run(arrivals)
+    )

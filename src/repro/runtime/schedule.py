@@ -174,17 +174,17 @@ def async_makespan_ms(
     makes :class:`repro.core.objective.ObjectiveCache` — the planner's
     memoization layer in front of it — exact rather than approximate.
 
-    ``tables`` (the cache passes its own) builds the chain tasks from a
-    compiled slice table and memoizes co-run rates by co-running set;
-    both hold exactly the values the plain path recomputes, so the
-    makespan is the same float with or without them.
+    ``tables`` (the cache passes its own) caches compiled chain slices
+    and memoizes co-run rates by co-running set; both hold exactly the
+    values a run without them computes, so the makespan is the same
+    float with or without them.
     """
     from .executor import plan_to_chains, simulate_chains  # avoid cycle
 
     obs.add("objective_evaluations")
     return simulate_chains(
         plan.soc,
-        tables.chains(plan) if tables is not None else plan_to_chains(plan),
+        plan_to_chains(plan, None if tables is None else tables.slices),
         with_contention=with_contention,
         enforce_memory=False,
         record=False,

@@ -23,8 +23,9 @@ from repro.obs.blame import blame_requests
 from repro.profiling.profiler import SocProfiler
 from repro.runtime import engine as engine_module
 from repro.runtime import compiled
+from repro.runtime._legacy_executor import legacy_simulate_chains
 from repro.runtime.compiled import CompiledTables
-from repro.runtime.executor import execute_plan, plan_to_chains, simulate_chains
+from repro.runtime.executor import execute_plan, plan_to_chains
 from repro.runtime.schedule import async_makespan_ms
 
 
@@ -280,15 +281,13 @@ class TestPlannerCacheCorrectness:
 
 
 def reference_makespan(plan: PipelinePlan, with_contention: bool = True):
-    """The plain simulation the compiled objective must reproduce:
-    chains rebuilt from the profiles, rates recomputed every step,
-    causality tracked (the engine default)."""
-    return simulate_chains(
+    """The frozen legacy loop the compiled objective must reproduce:
+    slowdowns re-derived from the workloads on every step."""
+    return legacy_simulate_chains(
         plan.soc,
         plan_to_chains(plan),
         with_contention=with_contention,
         enforce_memory=False,
-        record=False,
     ).makespan_ms
 
 
@@ -341,7 +340,7 @@ class TestCompiledObjective:
         assert len(objective.tables.rates) > 0
 
     def test_exact_under_tiny_bounds(self, monkeypatch):
-        """Evictions (and slice keys outliving their table entry in the
+        """Evictions (and compiled slices outliving their table entry in the
         rate memo) never change a value."""
         monkeypatch.setattr(compiled, "DEFAULT_SLICE_TABLE_SIZE", 4)
         monkeypatch.setattr(compiled, "DEFAULT_RATE_MEMO_SIZE", 4)

@@ -26,6 +26,7 @@ from repro.runtime.engine import (
     ExecutionResult,
     TaskRecord,
 )
+from repro.runtime.compiled import CompiledTables
 from repro.runtime.executor import plan_to_chains, simulate_chains
 
 
@@ -100,17 +101,33 @@ class TestGoldenEquivalence:
         assert engine.trace  # both sampled the same number of edges
 
     def test_fault_injection(self, kirin, small_plan):
-        offline = {small_plan.processors[0].name: 15.0}
-        engine = simulate_chains(
-            kirin,
-            plan_to_chains(small_plan),
-            processor_offline_ms=offline,
-            record=False,
-        )
-        legacy = legacy_simulate_chains(
-            kirin, plan_to_chains(small_plan), processor_offline_ms=offline
-        )
-        _assert_results_equal(engine, legacy)
+        # The first fault lands after its unit's last start; the second
+        # moves both GPU slices, so their constants are recompiled.
+        faults = [({small_plan.processors[0].name: 15.0}, 0), ({"gpu": 1.0}, 2)]
+        tables = CompiledTables()
+        for offline, moved in faults:
+            legacy = legacy_simulate_chains(
+                kirin, plan_to_chains(small_plan), processor_offline_ms=offline
+            )
+            # Without caches, then twice the objective's path: chains
+            # from a slice table and a rate memo shared across runs, so
+            # later runs hit rates memoized by earlier ones.
+            for slices, rate_memo in [(None, None)] + [
+                (tables.slices, tables.rates)
+            ] * 2:
+                engine = simulate_chains(
+                    kirin,
+                    plan_to_chains(small_plan, slices),
+                    processor_offline_ms=offline,
+                    record=False,
+                    rate_memo=rate_memo,
+                )
+                _assert_results_equal(engine, legacy)
+                assert moved == sum(
+                    r.processor != small_plan.processors[r.stage].name
+                    for r in engine.records
+                )
+        assert tables.rates.hits > 0
 
     def test_validation_errors_match_legacy(self, kirin):
         with pytest.raises(ValueError, match="arrival times"):

@@ -1,5 +1,7 @@
 """Tests for the event-driven pipeline executor."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.planner import Hetero2PipePlanner
@@ -10,11 +12,13 @@ from repro.hardware.soc import get_soc
 from repro.models.zoo import get_model
 from repro.profiling.profiler import SocProfiler
 from repro.profiling.slowdown import SliceWorkload
+from repro.runtime.compiled import CompiledTables
 from repro.runtime.executor import (
     ARENA_OVERHEAD_FACTOR,
     ChainTask,
     execute_plan,
     plan_to_chains,
+    replicate_chains,
     simulate_chains,
 )
 
@@ -230,6 +234,29 @@ class TestMetricsAndTrace:
             assert len(chain) == len(occupied)
             for task in chain:
                 assert task.working_set >= ARENA_OVERHEAD_FACTOR
+
+    @pytest.mark.parametrize("table", [False, True], ids=["no-table", "table"])
+    def test_replicas_keep_every_field_but_request_and_progress(
+        self, profiler, kirin, table
+    ):
+        """Round 0 is also the what-if layer's fresh copy of a run."""
+        plan = make_plan(profiler, kirin, ["bert", "vit", "resnet50"])
+        chains = plan_to_chains(plan, CompiledTables().slices if table else None)
+        simulate_chains(kirin, chains)  # leaves per-run progress behind
+        replicas = replicate_chains(chains, 2)
+        assert len(replicas) == 2 * len(chains)
+        skipped = {"request", "remaining_ms", "start_ms"}
+        for r, copied in enumerate(replicas):
+            chain = chains[r % len(chains)]
+            assert len(copied) == len(chain)
+            for task, twin in zip(chain, copied):
+                assert twin is not task
+                for f in dataclasses.fields(ChainTask):
+                    if f.name not in skipped:
+                        assert getattr(twin, f.name) == getattr(task, f.name)
+                assert twin.request == r
+                assert twin.start_ms is None
+                assert twin.remaining_ms == twin.solo_ms
 
     def test_request_latency(self, profiler, kirin):
         plan = make_plan(profiler, kirin, ["vit", "resnet50"])
